@@ -566,37 +566,11 @@ let run_rsync trace_opts guard_opts sample_opts core machine files commands
   print_summary d (Some k);
   finish_trace trace_opts d.Domain.env.Env.stats
 
-(* The synthetic compute workload shared by the compute and capture
-   subcommands: a pointer-chasing increment loop with a multiplicative
-   PRNG, ending in hlt (bare) or a marker + exit syscall (kernel). *)
-let compute_program ~iters ~bare =
-  let g = Gasm.create () in
-  Gasm.jmp g "main";
-  Gasm.label g "main";
-  Gasm.li g Gasm.rbp (if bare then Machine.heap_base else Abi.user_heap_base);
-  Gasm.lii g Gasm.rcx iters;
-  Gasm.label g "top";
-  Gasm.ld g Gasm.rax ~base:Gasm.rbp ();
-  Gasm.addi g Gasm.rax 1;
-  Gasm.st g ~base:Gasm.rbp Gasm.rax ();
-  Gasm.imuli g Gasm.rbx 1103515245;
-  Gasm.addi g Gasm.rbx 12345;
-  Gasm.dec g Gasm.rcx;
-  Gasm.jne g "top";
-  if bare then
-    (* no kernel to receive syscalls: halt the VCPU to end the run *)
-    Gasm.ins g Insn.Hlt
-  else begin
-    Gasm.sys_marker g 999;
-    Gasm.sys_exit g 0
-  end;
-  Gasm.assemble g
-
 let run_compute trace_opts guard_opts sample_opts core machine commands
     max_mcycles iters bare =
   let sampled = sample_schedule sample_opts guard_opts ~core ~commands in
   setup_trace trace_opts;
-  let program = compute_program ~iters ~bare in
+  let program = Microbench.compute ~iters ~bare in
   let d, k =
     if bare then begin
       let m = Machine.create program in
@@ -832,7 +806,7 @@ let run_capture_cmd guard_opts sample_opts core machine iters max_mcycles
     | Some sp -> sp
     | None -> assert false (* s_on forces sampling *)
   in
-  let program = compute_program ~iters ~bare:true in
+  let program = Microbench.compute ~iters ~bare:true in
   let config = machine_of_name machine in
   (* the store key: what program ran, not how it was simulated *)
   let workload = Store.digest_value ("bare-compute", program, iters) in
