@@ -47,6 +47,9 @@ type t = {
   l3 : Cache.t option;
   (* line paddr -> cycle at which the fill completes *)
   mshr : (int, int) Hashtbl.t;
+  (* lower bound on the live entries' completion cycles (max_int when
+     none): every insertion goes through [add_mshr] to keep it *)
+  mutable mshr_next : int;
   loads : Stats.counter;
   stores : Stats.counter;
   ifetches : Stats.counter;
@@ -67,6 +70,7 @@ let create ?(prefix = "mem") stats config =
     l2 = Cache.create ~stats_prefix:prefix stats config.l2;
     l3 = Option.map (fun c -> Cache.create ~stats_prefix:prefix stats c) config.l3;
     mshr = Hashtbl.create 64;
+    mshr_next = max_int;
     loads = Stats.counter stats (prefix ^ ".loads");
     stores = Stats.counter stats (prefix ^ ".stores");
     ifetches = Stats.counter stats (prefix ^ ".ifetches");
@@ -83,12 +87,21 @@ let l1d t = t.l1d
 let l1i t = t.l1i
 let l2 t = t.l2
 
-(* Drop completed MSHR entries. *)
+(* Drop completed MSHR entries, in place. [mshr_next] is a lower bound
+   on every live entry's ready cycle, so before [cycle] reaches it
+   nothing has completed: the timed path then pays one comparison and
+   allocates nothing. *)
 let expire_mshrs t ~cycle =
-  if Hashtbl.length t.mshr > 0 then begin
-    let dead = Hashtbl.fold (fun line ready acc -> if ready <= cycle then line :: acc else acc) t.mshr [] in
-    List.iter (Hashtbl.remove t.mshr) dead
+  if cycle >= t.mshr_next then begin
+    Hashtbl.filter_map_inplace
+      (fun _ ready -> if ready <= cycle then None else Some ready)
+      t.mshr;
+    t.mshr_next <- Hashtbl.fold (fun _ ready acc -> min ready acc) t.mshr max_int
   end
+
+let add_mshr t line ready =
+  Hashtbl.replace t.mshr line ready;
+  if ready < t.mshr_next then t.mshr_next <- ready
 
 (* Latency to bring a line into the given L1 from below, filling lower
    levels on the way. *)
@@ -181,7 +194,7 @@ let data_access t ~cycle ~paddr ~write =
         else 0
       in
       let lat = t.config.l1d.latency + extra + miss_latency t ~write ~paddr in
-      Hashtbl.replace t.mshr line (cycle + lat);
+      add_mshr t line (cycle + lat);
       prefetch t paddr;
       lat)
 
@@ -254,7 +267,8 @@ let restore t ~snapshot =
   | None, None -> ()
   | _ -> invalid_arg "Hierarchy.restore: l3 presence mismatch");
   Hashtbl.reset t.mshr;
-  List.iter (fun (k, v) -> Hashtbl.replace t.mshr k v) snapshot.sn_mshr
+  t.mshr_next <- max_int;
+  List.iter (fun (k, v) -> add_mshr t k v) snapshot.sn_mshr
 
 (** Compare the live hierarchy against a snapshot; returns one line per
     mismatch across every cache level and the MSHR table. *)

@@ -83,6 +83,17 @@ let fu_class_of (u : Uop.t) =
   | Uop.Bru | Uop.Brc _ | Uop.Brnz | Uop.Brz | Uop.Jmpr -> FU_branch
   | _ -> FU_alu
 
+(** Dense index of a functional unit class, for per-class tables. *)
+let fu_index = function
+  | FU_alu -> 0
+  | FU_mul -> 1
+  | FU_div -> 2
+  | FU_mem -> 3
+  | FU_fp -> 4
+  | FU_branch -> 5
+
+let num_fu_classes = 6
+
 (** The paper's §5 configuration of PTLsim to match the AMD K8: 72-entry
     ROB, 44-entry load/store queue, three 8-entry integer issue queues
     (the K8's three "lanes"), a 36-entry FP issue queue two cycles away,

@@ -44,7 +44,7 @@ let trace t fmt =
              s :: List.filteri (fun i _ -> i < 60) t.trace
            else s :: t.trace))
       fmt
-  else Printf.ksprintf ignore fmt
+  else Printf.ikfprintf ignore () fmt
 
 let cooldown_cycles = 8
 let reservation_cycles = 64

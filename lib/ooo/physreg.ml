@@ -36,16 +36,17 @@ let create n =
 
 let free_count t = Queue.length t.free
 
-(** Allocate a register in [Pending] state; None when exhausted. *)
+(** Allocate a register in [Pending] state; -1 when exhausted. *)
 let alloc t =
-  match Queue.take_opt t.free with
-  | None -> None
-  | Some i ->
+  if Queue.is_empty t.free then -1
+  else begin
+    let i = Queue.take t.free in
     let r = t.regs.(i) in
     r.state <- Pending;
     r.value <- 0L;
     r.flags <- 0;
-    Some i
+    i
+  end
 
 let release t i =
   let r = t.regs.(i) in

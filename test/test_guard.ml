@@ -233,6 +233,12 @@ let test_corrupt_iq_slot () =
     e.Ooo.state <- Ooo.Issued;
     detect ~sub:"iq" m inst
 
+let test_corrupt_iq_free_count () =
+  let m, inst, core = warm_ooo () in
+  (* the incrementally kept free-slot count drifts from its queue *)
+  core.Ooo.iq_free.(0) <- core.Ooo.iq_free.(0) - 1;
+  detect ~sub:"iq" m inst
+
 let test_corrupt_mshr_leak () =
   let m, inst, core = warm_ooo () in
   (* an MSHR whose completion lies beyond any legitimate latency chain *)
@@ -364,6 +370,8 @@ let suite =
     Alcotest.test_case "leak physreg -> physreg" `Quick test_corrupt_physreg_leak;
     Alcotest.test_case "reorder ROB slot -> rob" `Quick test_corrupt_rob_order;
     Alcotest.test_case "corrupt iq slot -> iq" `Quick test_corrupt_iq_slot;
+    Alcotest.test_case "corrupt iq free count -> iq" `Quick
+      test_corrupt_iq_free_count;
     Alcotest.test_case "leak MSHR -> mem" `Quick test_corrupt_mshr_leak;
     Alcotest.test_case "duplicate cache tag -> mem" `Quick test_corrupt_cache_tag;
     Alcotest.test_case "supervisor raises typed failure" `Quick test_supervisor_raises;

@@ -334,6 +334,108 @@ let prop_cosim_equivalence =
         QCheck.Test.fail_reportf "state diverged:\n%s" (String.concat "\n" diffs)
       else true)
 
+(* ---------- issue select: the array selector against list-and-sort ----------
+
+   [Ooo.issue] picks each cluster's candidates with [Ooo.selector_pick]
+   over preallocated int arrays. The reference below is the selection it
+   replaced: build a candidate list, sort it on (replay class, seq) with
+   polymorphic compare, execute the first [width] — skipping, but still
+   counting, one annulled earlier in the same cycle. A candidate that
+   "mispredicts" annuls every younger candidate when it executes. *)
+
+type cand = {
+  c_slot : int;
+  c_seq : int;
+  c_replays : int;
+  c_retry : int;  (* retry cycle of its last replay *)
+  c_mispredicts : bool;
+}
+
+let gen_select_case =
+  let open QCheck.Gen in
+  let* width = oneofl [ 1; 3 ] in
+  let* now = int_range 200 1_000 in
+  let* n = int_range 0 12 in
+  let* slots = shuffle_l (List.init 16 Fun.id) in
+  let* seqs = shuffle_l (List.init 16 (fun i -> 1_000 + (7 * i))) in
+  let cand slot seq =
+    let* c_replays = oneofl [ 0; 0; 1; 3 ] in
+    (* ages straddling the 64-cycle promotion, and fresh replays *)
+    let* age = frequency [ (2, int_range 60 68); (1, int_range 0 130) ] in
+    let* c_mispredicts = frequency [ (1, return true); (4, return false) ] in
+    return { c_slot = slot; c_seq = seq; c_replays; c_retry = now - age; c_mispredicts }
+  in
+  let* cands =
+    flatten_l
+      (List.init n (fun i -> cand (List.nth slots i) (List.nth seqs i)))
+  in
+  return (width, now, cands)
+
+(* Execute [picked] in order, up to [width] of them: an annulled pick
+   still uses its slot. Returns the executed seqs. *)
+let run_picks ~width picked all =
+  let annulled = Hashtbl.create 8 in
+  let executed = ref [] in
+  List.iteri
+    (fun k c ->
+      if k < width && not (Hashtbl.mem annulled c.c_seq) then begin
+        executed := c.c_seq :: !executed;
+        if c.c_mispredicts then
+          List.iter
+            (fun d -> if d.c_seq > c.c_seq then Hashtbl.replace annulled d.c_seq ())
+            all
+      end)
+    picked;
+  List.rev !executed
+
+let reference_select ~width ~now cands =
+  let klass c =
+    if c.c_replays = 0 then 0 else if now - c.c_retry > 64 then 0 else 1
+  in
+  let ordered =
+    List.sort (fun a b -> compare (klass a, a.c_seq) (klass b, b.c_seq)) cands
+  in
+  run_picks ~width ordered cands
+
+let array_select ~width ~now cands =
+  let s = Ooo.selector_create 16 in
+  (* candidates arrive in queue-slot order, as [Ooo.issue] scans them *)
+  let by_slot = List.sort (fun a b -> compare a.c_slot b.c_slot) cands in
+  List.iter
+    (fun c ->
+      Ooo.selector_add s ~slot:c.c_slot
+        ~klass:(Ooo.replay_class ~replays:c.c_replays ~retry_cycle:c.c_retry ~now)
+        ~seq:c.c_seq)
+    by_slot;
+  let take = Ooo.selector_pick s ~width in
+  let picked =
+    List.init take (fun k ->
+        List.find (fun c -> c.c_slot = s.Ooo.sel_slot.(k)) cands)
+  in
+  run_picks ~width picked cands
+
+let prop_issue_select =
+  let print (width, now, cands) =
+    Printf.sprintf "width %d now %d: %s" width now
+      (String.concat "; "
+         (List.map
+            (fun c ->
+              Printf.sprintf "slot %d seq %d replays %d retry %d%s" c.c_slot
+                c.c_seq c.c_replays c.c_retry
+                (if c.c_mispredicts then " mispredicts" else ""))
+            cands))
+  in
+  QCheck.Test.make ~name:"array issue select = list-and-sort select" ~count:2_000
+    (QCheck.make ~print gen_select_case)
+    (fun (width, now, cands) ->
+      let expected = reference_select ~width ~now cands in
+      let got = array_select ~width ~now cands in
+      if got <> expected then
+        QCheck.Test.fail_reportf "executed %s, reference %s"
+          (String.concat "," (List.map string_of_int got))
+          (String.concat "," (List.map string_of_int expected))
+      else true)
+
 let suite =
   [
     Alcotest.test_case "ooo mov/add" `Quick test_ooo_mov_add;
@@ -346,4 +448,5 @@ let suite =
     Alcotest.test_case "ooo irq delivery" `Quick test_ooo_irq_delivery;
     Alcotest.test_case "ooo k8 config" `Quick test_ooo_k8_config_runs;
     Test_seed.to_alcotest prop_cosim_equivalence;
+    Test_seed.to_alcotest prop_issue_select;
   ]
