@@ -1611,5 +1611,30 @@ let () =
             None)
         names
   in
-  List.iter (fun (_, f) -> f ()) chosen;
-  Printf.printf "\nall requested experiments completed.\n%!"
+  match chosen with
+  | [ (_, f) ] ->
+    f ();
+    Printf.printf "\nall requested experiments completed.\n%!"
+  | _ ->
+    (* Several experiments: each runs in its own child process. fleet
+       and chaos fork worker processes, which OCaml refuses once another
+       experiment has spawned a domain in this process, and one crashing
+       experiment must not take the rest down. *)
+    let failed =
+      List.filter
+        (fun (name, _) ->
+          flush stdout;
+          let pid =
+            Unix.create_process Sys.executable_name
+              [| Sys.executable_name; name |]
+              Unix.stdin Unix.stdout Unix.stderr
+          in
+          snd (Unix.waitpid [] pid) <> Unix.WEXITED 0)
+        chosen
+    in
+    if failed <> [] then begin
+      Printf.printf "\nexperiments failed: %s\n%!"
+        (String.concat ", " (List.map fst failed));
+      exit 1
+    end;
+    Printf.printf "\nall %d experiments completed.\n%!" (List.length chosen)

@@ -44,10 +44,10 @@ let () =
 
   (* 2. checkpoint + deterministic replay (the §4.2 methodology) *)
   let m = Machine.create image in
-  let ck = Checkpoint.capture m.Machine.env m.Machine.ctx in
+  let ck = Checkpoint.Machine.capture m.Machine.env m.Machine.ctx in
   ignore (Machine.run_seq m);
   let first_result = Machine.gpr m Gasm.rbx in
-  Checkpoint.restore ck m.Machine.env m.Machine.ctx;
+  Checkpoint.Machine.restore ck m.Machine.env m.Machine.ctx;
   ignore (Machine.run_seq m);
   Printf.printf "checkpoint replay deterministic: %b\n"
     (Machine.gpr m Gasm.rbx = first_result);

@@ -129,6 +129,12 @@ let chaos_send fd point v =
     write_all fd payload 0 (Bytes.length payload / 2);
     raise (Chaos.Killed (point ^ " (torn)"))
 
+(* a diagnostic's headline, for one-line logs *)
+let first_line diag =
+  match String.index_opt diag '\n' with
+  | Some j -> String.sub diag 0 j
+  | None -> diag
+
 (* a peer vanishing mid-exchange is a routine fleet event, not a crash *)
 let ignore_sigpipe () =
   if Sys.os_type = "Unix" then
@@ -318,10 +324,7 @@ let serve ?(lease_timeout = 30.) ?(max_failures = 3) ?(log = fun _ -> ())
           log
             (Printf.sprintf
                "serve: interval %d QUARANTINED after %d failure(s); last: %s"
-               index attempts
-               (match String.index_opt diag '\n' with
-               | Some j -> String.sub diag 0 j
-               | None -> diag))
+               index attempts (first_line diag))
         end
         else begin
           ignore (Lease_queue.release q index ~owner:fd : bool);
@@ -401,13 +404,29 @@ let connect_retry path tries =
   in
   go 1
 
-(* Replay one leased interval, catching every per-interval failure as a
-   typed outcome. [progress] heartbeats the lease every [heartbeat]
-   seconds of wall time while the pipeline steps — request-reply, so
-   the strict protocol alternation is preserved; heartbeat trouble is
-   swallowed (the lease machinery already covers a lost renewal).
-   Chaos.Killed is the one exception deliberately NOT converted: it
-   stands in for the process dying at this point. *)
+(* Load and replay one interval, every per-interval failure (a corrupt
+   record, a Sim_failure, any other exception) turned into its
+   diagnostic. Chaos.Killed is the one exception deliberately NOT
+   converted: it stands in for the process dying at this point. *)
+let replay_one ?progress ?wrap ~store ~base ~core ~config ~schedule index =
+  match Store.load_interval store index with
+  | Error e -> Error (Store.error_to_string e)
+  | Ok d -> (
+    try
+      Ok
+        (Sample.replay_delta ?progress ?wrap ~core_name:core ~config ~schedule
+           ~index ~base d)
+    with
+    | Chaos.Killed _ as e -> raise e
+    | Sim_failure.Sim_failure f ->
+      Error (Sim_failure.summary f ^ "\n" ^ Sim_failure.render f)
+    | e -> Error (Printexc.to_string e))
+
+(* Replay one leased interval as a typed outcome. [progress] heartbeats
+   the lease every [heartbeat] seconds of wall time while the pipeline
+   steps — request-reply, so the strict protocol alternation is
+   preserved; heartbeat trouble is swallowed (the lease machinery
+   already covers a lost renewal). *)
 let replay_outcome ~store ~base ~core ~config ~schedule ~heartbeat
     ~recv_timeout ?wrap fd index =
   (match Chaos.fire "work.replay" with
@@ -427,18 +446,11 @@ let replay_outcome ~store ~base ~core ~config ~schedule ~heartbeat
       | Recv_timeout | End_of_file | Unix.Unix_error _ | Failure _ -> ()
     end
   in
-  match store_err (Store.load_interval store index) with
+  match
+    replay_one ~progress ?wrap ~store ~base ~core ~config ~schedule index
+  with
+  | Ok iv -> Replayed iv
   | Error diag -> Failed { diag }
-  | Ok d -> (
-    try
-      Replayed
-        (Sample.replay_delta ~progress ?wrap ~core_name:core ~config ~schedule
-           ~index ~base d)
-    with
-    | Chaos.Killed _ as e -> raise e
-    | Sim_failure.Sim_failure f ->
-      Failed { diag = Sim_failure.summary f ^ "\n" ^ Sim_failure.render f }
-    | e -> Failed { diag = Printexc.to_string e })
 
 (** One worker process: connect to a server at [connect], lease
     intervals, replay each from the store's base + delta checkpoints,
@@ -485,9 +497,7 @@ let work ?(retries = 50) ?(reconnects = 2) ?(recv_timeout = 30.)
             | Failed { diag } ->
               log
                 (Printf.sprintf "work: %s failed interval %d: %s" me index
-                   (match String.index_opt diag '\n' with
-                   | Some j -> String.sub diag 0 j
-                   | None -> diag)));
+                   (first_line diag)));
             loop ()
           | Finished -> Ok true
           | Welcome _ | Work _ | Drain -> Ok false)
@@ -545,8 +555,8 @@ type replayed = {
           the whole retry budget *)
 }
 
-(** Replay every interval of [store] in this process ([jobs] worker
-    {!Stdlib.Domain}s; 1 = inline), using and refilling the result
+(** Replay every interval of [store] in this process (a {!Sample.pool}
+    of [jobs] workers; 1 = inline), using and refilling the result
     cache. Byte-identical to {!serve} + workers and to the original
     serial [--sample] run. [config] overrides the manifest's machine
     configuration — the sweep engine's per-leg entry point: every leg
@@ -580,38 +590,11 @@ let replay ?(jobs = 1) ?(log = fun _ -> ()) ?config ?wrap store :
         (Printf.sprintf "replay: %d cached, %d to replay on %d job(s)"
            (List.length cached) (Array.length miss)
            (max 1 (min jobs (Array.length miss))));
-      let out = Array.make (Array.length miss) (Ok None) in
-      let cursor = Atomic.make 0 in
-      let worker () =
-        let rec go () =
-          let k = Atomic.fetch_and_add cursor 1 in
-          if k < Array.length miss then begin
-            let index = miss.(k) in
-            (out.(k) <-
-               (match Store.load_interval store index with
-               | Error e -> Error (Store.error_to_string e)
-               | Ok d -> (
-                 try
-                   Ok
-                     (Sample.replay_delta ?wrap ~core_name:m.Store.m_core
-                        ~config ~schedule ~index ~base d)
-                 with
-                 | Chaos.Killed _ as e -> raise e
-                 | Sim_failure.Sim_failure f ->
-                   Error
-                     (Sim_failure.summary f ^ "\n" ^ Sim_failure.render f)
-                 | e -> Error (Printexc.to_string e))));
-            go ()
-          end
-        in
-        go ()
+      let out =
+        Sample.pool jobs (Array.length miss) (fun k ->
+            replay_one ?wrap ~store ~base ~core:m.Store.m_core ~config
+              ~schedule miss.(k))
       in
-      let jobs = max 1 (min jobs (Array.length miss)) in
-      let doms =
-        Array.init (jobs - 1) (fun _ -> Stdlib.Domain.spawn worker)
-      in
-      worker ();
-      Array.iter Stdlib.Domain.join doms;
       Array.iteri
         (fun k r ->
           match r with
@@ -629,9 +612,7 @@ let replay ?(jobs = 1) ?(log = fun _ -> ()) ?config ?wrap store :
             quarantined := (miss.(k), [ diag ]) :: !quarantined;
             log
               (Printf.sprintf "replay: interval %d quarantined: %s" miss.(k)
-                 (match String.index_opt diag '\n' with
-                 | Some j -> String.sub diag 0 j
-                 | None -> diag)))
+                 (first_line diag)))
         out;
       Ok ()
     end

@@ -267,7 +267,7 @@ type supervisor = {
   mutable checks : check list;
   mutable steps : int;
   mutable next_checkpoint : int;  (* cycle of the next snapshot *)
-  mutable last_checkpoint : Checkpoint.t option;
+  mutable last_checkpoint : Checkpoint.Machine.t option;
   mutable degraded : bool;
   c_checks : Stats.counter;
   c_violations : Stats.counter;
@@ -277,7 +277,7 @@ type supervisor = {
 }
 
 let take_checkpoint s =
-  s.last_checkpoint <- Some (Checkpoint.capture s.env s.ctx);
+  s.last_checkpoint <- Some (Checkpoint.Machine.capture s.env s.ctx);
   s.next_checkpoint <- s.env.Env.cycle + s.cfg.checkpoint_every;
   Stats.incr s.c_checkpoints
 
@@ -293,7 +293,7 @@ let handle_failure s (f : Sim_failure.t) =
     flush s.out;
     (match s.last_checkpoint with
     | Some cp ->
-      Checkpoint.restore cp s.env s.ctx;
+      Checkpoint.Machine.restore cp s.env s.ctx;
       Stats.incr s.c_rollbacks;
       Printf.fprintf s.out
         "guard: rolled back to checkpoint at cycle %d; degrading to the seq core\n"

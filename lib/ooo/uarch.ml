@@ -71,26 +71,14 @@ let snapshot t =
     sn_bpred = Predictor.snapshot t.bpred;
   }
 
-(** Restore in place into a [t] built from the same {!Config.t} (the
-    geometries must match). *)
+(** Restore in place. Each component restores only when the snapshot
+    fits its geometry; the rest stay cold and re-warm during the
+    interval's warm-up phase — the standard sampled-simulation treatment
+    of warmed state that cannot be translated across geometries (a
+    design-space sweep leg replaying under a different machine
+    configuration). Returns the components started cold; empty means
+    the restore was exact. *)
 let restore t ~snapshot =
-  Hierarchy.restore t.hierarchy ~snapshot:snapshot.sn_hierarchy;
-  Tlb.restore t.dtlb ~snapshot:snapshot.sn_dtlb;
-  Tlb.restore t.itlb ~snapshot:snapshot.sn_itlb;
-  (match (t.pwc, snapshot.sn_pwc) with
-  | Some pwc, Some s -> Pwc.restore pwc ~snapshot:s
-  | None, None -> ()
-  | _ -> invalid_arg "Uarch.restore: pwc presence mismatch");
-  Predictor.restore t.bpred ~snapshot:snapshot.sn_bpred
-
-(** Best-effort restore for replays under a {e different} machine
-    configuration (design-space sweep legs): each component restores
-    only when the snapshot fits its geometry; the rest stay cold and
-    re-warm during the interval's warm-up phase — the standard
-    sampled-simulation treatment of warmed state that cannot be
-    translated across geometries. Returns the components started cold;
-    empty means the restore was exactly {!restore}. *)
-let restore_fit t ~snapshot =
   let cold = ref [] in
   let component name fits restore =
     if fits then restore () else cold := name :: !cold
@@ -107,8 +95,8 @@ let restore_fit t ~snapshot =
   (match (t.pwc, snapshot.sn_pwc) with
   | Some pwc, Some s ->
     component "pwc" (Pwc.fits pwc s) (fun () -> Pwc.restore pwc ~snapshot:s)
-  | None, _ -> ()  (* no PWC in this configuration: nothing to restore *)
-  | Some _, None -> component "pwc" false (fun () -> ()));
+  | None, None -> ()
+  | _ -> component "pwc" false ignore  (* a PWC on one side only *));
   component "bpred"
     (Predictor.fits t.bpred snapshot.sn_bpred)
     (fun () -> Predictor.restore t.bpred ~snapshot:snapshot.sn_bpred);
@@ -164,12 +152,3 @@ let resolve_delta ~base ~delta =
     sn_pwc = Option.value delta.d_pwc ~default:base.sn_pwc;
     sn_bpred = Option.value delta.d_bpred ~default:base.sn_bpred;
   }
-
-(** Restore the state [delta] was captured from: each component comes
-    from the delta when it changed, from [base] otherwise. *)
-let restore_delta t ~base ~delta =
-  restore t ~snapshot:(resolve_delta ~base ~delta)
-
-(** {!restore_delta} with the {!restore_fit} geometry tolerance. *)
-let restore_delta_fit t ~base ~delta =
-  restore_fit t ~snapshot:(resolve_delta ~base ~delta)

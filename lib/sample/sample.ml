@@ -425,12 +425,149 @@ let drain_commands (d : Domain.t) =
                 (Ptlcall.command_to_string other)))
       cmds
 
+(* The period driver both supervisors share: guest-command draining, the
+   instruction/cycle budget, ROI-aware fast-forward and the placed
+   lead/trail schedule. {!run} and {!run_capture} differ only in what
+   they do at a window. *)
+type driver = {
+  dom : Domain.t;
+  roi : bool;
+  max_insns : int;
+  max_cycles : int;
+  start_insns : int;
+  start_cycle : int;
+  mutable finished : bool;
+}
+
+let driver ~roi ~max_insns ~max_cycles (d : Domain.t) =
+  if not roi then d.Domain.sample_roi <- true;
+  {
+    dom = d;
+    roi;
+    max_insns;
+    max_cycles;
+    start_insns = d.Domain.ctx.Context.insns_committed;
+    start_cycle = d.Domain.env.Env.cycle;
+    finished = false;
+  }
+
+(* One scheduling quantum; false (and [finished]) once the guest halts,
+   is killed or the budget runs out. *)
+let tick dr =
+  let d = dr.dom in
+  drain_commands d;
+  if
+    d.Domain.killed
+    || d.Domain.ctx.Context.insns_committed - dr.start_insns >= dr.max_insns
+    || d.Domain.env.Env.cycle - dr.start_cycle >= dr.max_cycles
+    || not (Domain.drive_once d)
+  then begin
+    dr.finished <- true;
+    false
+  end
+  else true
+
+(* Fast-forward [n] ROI instructions on the native core; instructions
+   committed while the ROI is closed warm but do not count. *)
+let drive_ff dr n =
+  let d = dr.dom in
+  let ctx = d.Domain.ctx in
+  Domain.enter_native d;
+  let remaining = ref n in
+  let last = ref ctx.Context.insns_committed in
+  while
+    (not dr.finished) && (!remaining > 0 || (dr.roi && not d.Domain.sample_roi))
+  do
+    if tick dr then begin
+      let now = ctx.Context.insns_committed in
+      if d.Domain.sample_roi then remaining := !remaining - (now - !last);
+      last := now
+    end
+  done
+
+(* Drive the timed core until [n] more instructions commit. *)
+let drive_sim dr n =
+  let d = dr.dom in
+  let ctx = d.Domain.ctx in
+  Domain.enter_sim d;
+  let target = ctx.Context.insns_committed + n in
+  while (not dr.finished) && ctx.Context.insns_committed < target do
+    ignore (tick dr)
+  done
+
+(* Periods [first], [first + 1], ... until the domain finishes. In each,
+   [off] native instructions lead the window and the remaining
+   [ff_insns - off] trail it, so every period spends the same budget
+   wherever the window lands. Under [Fixed] off = ff_insns and the
+   trailing leg vanishes. [window i] runs period [i]'s window; both
+   fast-forward legs count into [c_ff]. *)
+let periods dr ~schedule ~placer ~first ~c_ff window =
+  let ctx = dr.dom.Domain.ctx in
+  let ff n =
+    let i0 = ctx.Context.insns_committed in
+    drive_ff dr n;
+    Stats.add c_ff (ctx.Context.insns_committed - i0)
+  in
+  let i = ref first in
+  while not dr.finished do
+    let off = placer !i in
+    ff off;
+    if not dr.finished then window !i;
+    if (not dr.finished) && schedule.ff_insns - off > 0 then
+      ff (schedule.ff_insns - off);
+    incr i
+  done
+
+(* One measured interval: [drive n] bracketed by a stats snapshot pair;
+   [None] when no instruction committed in it. *)
+let measure ~stats ~(env : Env.t) ~(ctx : Context.t) ~index drive n =
+  let before = Stats.snapshot stats ~cycle:env.Env.cycle in
+  let i0 = ctx.Context.insns_committed in
+  drive n;
+  let after = Stats.snapshot stats ~cycle:env.Env.cycle in
+  let insns = ctx.Context.insns_committed - i0 in
+  let cycles = after.Stats.cycle - before.Stats.cycle in
+  if insns > 0 then
+    Some
+      {
+        iv_index = index;
+        iv_insns = insns;
+        iv_cycles = cycles;
+        iv_cpi = float_of_int cycles /. float_of_int insns;
+        iv_before = before;
+        iv_after = after;
+      }
+  else None
+
+(* Leave the domain native with its time-lapse closed. *)
+let finish dr =
+  let d = dr.dom in
+  remove_warming d;
+  Domain.enter_native d;
+  match d.Domain.timelapse with
+  | Some tl -> Timelapse.finish tl ~cycle:d.Domain.env.Env.cycle
+  | None -> ()
+
+(* The domain's shared uarch, installed on first use so warmed state
+   survives core rebuilds. *)
+let shared_uarch (d : Domain.t) =
+  match d.Domain.uarch with
+  | Some u -> u
+  | None ->
+    let u =
+      Uarch.create ~prefix:d.Domain.core_name d.Domain.config
+        d.Domain.env.Env.stats
+    in
+    Domain.set_uarch d u;
+    u
+
 (** Run the domain to completion (guest shutdown / halt / -kill /
-    budget) under the sampling [schedule]. With [~roi:true] the
-    measured periods only advance while the guest-controlled
-    [-startsample] region is open; fast-forward (and warming) continues
-    outside it. Returns the per-interval records and the aggregate CPI
-    estimate. *)
+    budget) under the sampling [schedule], each window driven timed:
+    warm-up, then a measured interval bracketed by a {!Stats} snapshot
+    pair. With [~roi:true] the measured periods only advance while the
+    guest-controlled [-startsample] region is open; fast-forward (and
+    warming) continues outside it. Returns the per-interval records and
+    the aggregate CPI estimate. *)
 let run ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
     ?(max_cycles = max_int) ~schedule (d : Domain.t) =
   let env = d.Domain.env and ctx = d.Domain.ctx in
@@ -440,116 +577,33 @@ let run ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
   and c_warm = Stats.counter stats "sample.warmup_insns"
   and c_meas_i = Stats.counter stats "sample.measured_insns"
   and c_meas_c = Stats.counter stats "sample.measured_cycles" in
-  let uarch =
-    match d.Domain.uarch with
-    | Some u -> u
-    | None ->
-      let u = Uarch.create ~prefix:d.Domain.core_name d.Domain.config stats in
-      Domain.set_uarch d u;
-      u
-  in
-  let (_ : unit -> unit) = install_warming d uarch in
-  if not roi then d.Domain.sample_roi <- true;
-  let start_cycle = env.Env.cycle
-  and start_insns = ctx.Context.insns_committed in
-  let finished = ref false in
-  let out_of_budget () =
-    ctx.Context.insns_committed - start_insns >= max_insns
-    || env.Env.cycle - start_cycle >= max_cycles
-  in
-  let tick () =
-    drain_commands d;
-    if d.Domain.killed || out_of_budget () then begin
-      finished := true;
-      false
-    end
-    else if Domain.drive_once d then true
-    else begin
-      finished := true;
-      false
-    end
-  in
-  (* Fast-forward [n] ROI instructions on the native core; instructions
-     committed while the ROI is closed warm but do not count. *)
-  let drive_ff n =
-    Domain.enter_native d;
-    let remaining = ref n in
-    let last = ref ctx.Context.insns_committed in
-    while (not !finished) && (!remaining > 0 || (roi && not d.Domain.sample_roi))
-    do
-      if tick () then begin
-        let now = ctx.Context.insns_committed in
-        if d.Domain.sample_roi then remaining := !remaining - (now - !last);
-        last := now
-      end
-    done
-  in
-  (* Drive the timed core until [n] more instructions commit. *)
-  let drive_sim n =
-    Domain.enter_sim d;
-    let target = ctx.Context.insns_committed + n in
-    while (not !finished) && ctx.Context.insns_committed < target do
-      ignore (tick ())
-    done
-  in
-  let placer = make_placer placement schedule in
+  let (_ : unit -> unit) = install_warming d (shared_uarch d) in
+  let dr = driver ~roi ~max_insns ~max_cycles d in
   let intervals = ref [] in
   let idx = ref 0 in
-  let period_idx = ref 0 in
-  while not !finished do
-    (* [off] native instructions lead the window; the remaining
-       [ff_insns - off] trail it, so every period spends the same budget
-       wherever the window lands. Under [Fixed] off = ff_insns and the
-       trailing leg vanishes — byte-identical to the legacy schedule. *)
-    let off = placer !period_idx in
-    incr period_idx;
-    let i_ff = ctx.Context.insns_committed in
-    drive_ff off;
-    Stats.add c_ff (ctx.Context.insns_committed - i_ff);
-    if not !finished then begin
+  periods dr ~schedule ~placer:(make_placer placement schedule) ~first:0 ~c_ff
+    (fun _ ->
       let i_warm = ctx.Context.insns_committed in
-      drive_sim schedule.warmup_insns;
-      Stats.add c_warm (ctx.Context.insns_committed - i_warm)
-    end;
-    if not !finished then begin
-      Trace.sample_boundary ();
-      let before = Stats.snapshot stats ~cycle:env.Env.cycle in
-      let i0 = ctx.Context.insns_committed in
-      drive_sim schedule.measure_insns;
-      let after = Stats.snapshot stats ~cycle:env.Env.cycle in
-      let insns = ctx.Context.insns_committed - i0 in
-      let cycles = after.Stats.cycle - before.Stats.cycle in
-      if insns > 0 then begin
-        intervals :=
-          {
-            iv_index = !idx;
-            iv_insns = insns;
-            iv_cycles = cycles;
-            iv_cpi = float_of_int cycles /. float_of_int insns;
-            iv_before = before;
-            iv_after = after;
-          }
-          :: !intervals;
-        incr idx;
-        Stats.incr c_intervals;
-        Stats.add c_meas_i insns;
-        Stats.add c_meas_c cycles
-      end
-    end;
-    if (not !finished) && schedule.ff_insns - off > 0 then begin
-      let i_tail = ctx.Context.insns_committed in
-      drive_ff (schedule.ff_insns - off);
-      Stats.add c_ff (ctx.Context.insns_committed - i_tail)
-    end
-  done;
-  remove_warming d;
-  Domain.enter_native d;
-  (match d.Domain.timelapse with
-  | Some tl -> Timelapse.finish tl ~cycle:env.Env.cycle
-  | None -> ());
+      drive_sim dr schedule.warmup_insns;
+      Stats.add c_warm (ctx.Context.insns_committed - i_warm);
+      if not dr.finished then begin
+        Trace.sample_boundary ();
+        match
+          measure ~stats ~env ~ctx ~index:!idx (drive_sim dr)
+            schedule.measure_insns
+        with
+        | None -> ()
+        | Some iv ->
+          intervals := iv :: !intervals;
+          incr idx;
+          Stats.incr c_intervals;
+          Stats.add c_meas_i iv.iv_insns;
+          Stats.add c_meas_c iv.iv_cycles
+      end);
+  finish dr;
   aggregate
-    ~total_insns:(ctx.Context.insns_committed - start_insns)
-    ~total_cycles:(env.Env.cycle - start_cycle)
+    ~total_insns:(ctx.Context.insns_committed - dr.start_insns)
+    ~total_cycles:(env.Env.cycle - dr.start_cycle)
     (List.rev !intervals)
 
 (* ---------------------------------------------------------------- *)
@@ -573,15 +627,37 @@ let check_jobs ~jobs ~kernel ~tracing () : (unit, string) Stdlib.result =
        interleave in it"
   else Ok ()
 
-(* Drive a freshly restored private core through warm-up + measure and
-   package the measured window. Shared by the full-checkpoint and
-   delta-checkpoint replay paths; determinism follows because the
-   result is a pure function of the restored state and the schedule.
-   [progress] (default no-op) is invoked every ~2k pipeline steps — a
-   cheap liveness hook fleet workers use to heartbeat their lease
-   while a slow interval replays; it must not touch simulator state. *)
-let replay_measure ?(progress = fun () -> ()) ~inst ~stats ~(env : Env.t)
-    ~(ctx : Context.t) ~schedule ~index () =
+(** Replay one measured interval from a delta checkpoint on completely
+    private state: the memory is a copy-on-write clone of the shared
+    base image overlaid with the interval's dirty pages — O(frames +
+    footprint) to build — and a fresh context + {!Uarch} + {!Stats}
+    tree restore from [base + delta]. A private core instance then
+    drives warm-up and measure. Nothing here touches the master domain,
+    so any number of these can run on separate {!Stdlib.Domain}s at
+    once; determinism follows because the result is a pure function of
+    the checkpoint and the schedule. Returns [None] when the guest halts
+    before committing a single measured instruction.
+
+    [progress] (default no-op) is invoked every ~2k pipeline steps — a
+    cheap liveness hook fleet workers use to heartbeat their lease
+    while a slow interval replays; it must not touch simulator state.
+    [wrap] interposes on the freshly built core instance before it
+    drives — how fleet workers put a {!Ptl_guard} supervisor around
+    each leased interval, turning a mid-replay invariant breach into a
+    typed failure instead of a dead worker. *)
+let replay_delta ?(progress = fun () -> ()) ?wrap ~core_name ~config
+    ~schedule ~index ~(base : Checkpoint.base) (d : Checkpoint.delta) =
+  let stats = Stats.create () in
+  let mem = Checkpoint.clone_mem ~base d in
+  let env = Env.create ~stats ~mem () in
+  let ctx = Context.create ~vcpu_id:0 in
+  let uarch = Uarch.create ~prefix:core_name config stats in
+  (* a sweep leg with a different geometry starts the mismatched
+     components cold (the warm-up phase re-warms them); same-config
+     replays restore exactly *)
+  let (_cold : string list) = Checkpoint.restore ~base d ~uarch env ctx in
+  let inst = Registry.build ~uarch core_name config env [| ctx |] in
+  let inst = match wrap with None -> inst | Some w -> w ~env ~ctx inst in
   let halted () =
     (not ctx.Context.running)
     && (not (Context.interruptible ctx))
@@ -597,71 +673,7 @@ let replay_measure ?(progress = fun () -> ()) ~inst ~stats ~(env : Env.t)
     done
   in
   drive schedule.warmup_insns;
-  let before = Stats.snapshot stats ~cycle:env.Env.cycle in
-  let i0 = ctx.Context.insns_committed in
-  drive schedule.measure_insns;
-  let after = Stats.snapshot stats ~cycle:env.Env.cycle in
-  let insns = ctx.Context.insns_committed - i0 in
-  let cycles = after.Stats.cycle - before.Stats.cycle in
-  if insns > 0 then
-    Some
-      {
-        iv_index = index;
-        iv_insns = insns;
-        iv_cycles = cycles;
-        iv_cpi = float_of_int cycles /. float_of_int insns;
-        iv_before = before;
-        iv_after = after;
-      }
-  else None
-
-(** Replay one measured interval from a full checkpoint on completely
-    private state: a fresh physical memory + context + {!Uarch} +
-    {!Stats} tree are built, the checkpoint restored into them, and a
-    private core instance drives warm-up then measure. Nothing here
-    touches the master domain, so any number of these can run on
-    separate {!Stdlib.Domain}s at once; determinism follows because the
-    result is a pure function of the checkpoint and the schedule.
-    Returns [None] when the guest halts before committing a single
-    measured instruction.
-
-    [wrap] (both replay builders) interposes on the freshly built core
-    instance before it drives — how fleet workers put a {!Ptl_guard}
-    supervisor around each leased interval, turning a mid-replay
-    invariant breach into a typed failure instead of a dead worker. *)
-let replay_interval ?progress ?wrap ~core_name ~config ~schedule ~index
-    (ck : Checkpoint.full) =
-  let stats = Stats.create () in
-  let env = Env.create ~stats () in
-  let ctx = Context.create ~vcpu_id:0 in
-  let uarch = Uarch.create ~prefix:core_name config stats in
-  (* fit-tolerant: a sweep leg with a different geometry starts the
-     mismatched components cold (the warm-up phase re-warms them);
-     same-config replays restore exactly *)
-  ignore (Checkpoint.restore_full_fit ck ~uarch env ctx : string list);
-  let inst = Registry.build ~uarch core_name config env [| ctx |] in
-  let inst = match wrap with None -> inst | Some w -> w ~env ~ctx inst in
-  replay_measure ?progress ~inst ~stats ~env ~ctx ~schedule ~index ()
-
-(** Replay one measured interval from a delta checkpoint. The private
-    memory is a copy-on-write clone of the shared base image overlaid
-    with the interval's dirty pages — O(frames + footprint) to build —
-    and the private {!Uarch} restores from [base + changed components].
-    Restored state is identical to what {!replay_interval} sees from a
-    full checkpoint of the same moment, so the interval record is too. *)
-let replay_delta ?progress ?wrap ~core_name ~config ~schedule ~index
-    ~(base : Checkpoint.base) (d : Checkpoint.delta) =
-  let stats = Stats.create () in
-  let mem = Checkpoint.clone_mem ~base d in
-  let env = Env.create ~stats ~mem () in
-  let ctx = Context.create ~vcpu_id:0 in
-  let uarch = Uarch.create ~prefix:core_name config stats in
-  (* fit-tolerant, as in replay_interval: sweep legs may change the
-     geometry of what the checkpoint warmed *)
-  ignore (Checkpoint.restore_delta_into_fit ~base d ~uarch env ctx : string list);
-  let inst = Registry.build ~uarch core_name config env [| ctx |] in
-  let inst = match wrap with None -> inst | Some w -> w ~env ~ctx inst in
-  replay_measure ?progress ~inst ~stats ~env ~ctx ~schedule ~index ()
+  measure ~stats ~env ~ctx ~index drive schedule.measure_insns
 
 (** What one master capture pass produced: the shared base image, one
     delta checkpoint per measured window, the whole-run totals, and the
@@ -698,6 +710,31 @@ type resume_point = {
   rs_full_bytes : int;
 }
 
+(* Rebuild the resume point's capture moment in place. Memory comes from
+   the base plus the delta's pages with the dirty set re-armed to
+   exactly the delta's page set — what the original run had dirty at
+   that capture moment (deltas are cumulative since the base) — so the
+   resumed pass's later deltas are byte-identical to the uninterrupted
+   run's. [Context.restore] bumps tlb_generation to invalidate a live
+   machine's stale TLB entries, but the uarch TLBs are restored to
+   exactly the checkpoint state, so the counter is restored exactly
+   too. A resume under a different machine configuration cannot
+   reproduce the original pass and is refused. *)
+let resume_capture (rs : resume_point) ~uarch (env : Env.t) (ctx : Context.t) =
+  let d = rs.rs_last in
+  Pm.restore env.Env.mem ~snapshot:rs.rs_base.Checkpoint.bk_mem;
+  Pm.clear_dirty env.Env.mem;
+  Pm.apply_delta env.Env.mem d.Checkpoint.dk_pages;
+  (match Checkpoint.restore ~base:rs.rs_base d ~uarch env ctx with
+  | [] -> ()
+  | cold ->
+    invalid_arg
+      (Printf.sprintf
+         "Sample.run_capture: resume point does not fit this machine \
+          configuration (%s)"
+         (String.concat ", " cold)));
+  ctx.Context.tlb_generation <- d.Checkpoint.dk_ctx.Context.tlb_generation
+
 (** The master pass of checkpoint-parallel sampling: drive the whole
     workload on the native core with functional warming (the master
     never runs the timed core), capture a {!Checkpoint.base} up front
@@ -706,24 +743,25 @@ type resume_point = {
     warm-up+measure window. The windows themselves are advanced
     natively; replaying them timed is the workers' job ({!replay_delta},
     in-process via {!run_parallel} or from a durable store via
-    lib/fleet). ROI gating as in {!run}.
+    lib/fleet). Same period driver and ROI gating as {!run}.
 
     [on_base] / [on_window] stream the base image and each delta as
     they are captured (journaling); [resume] restarts an interrupted
     pass from its last journaled window instead of from scratch. The
     domain must be rebuilt exactly as for the original pass (same
     workload, machine, schedule, placement): the resumed pass restores
-    the last delta's capture moment — {!Checkpoint.resume_delta}
-    re-arms dirty tracking to the original run's — re-draws the placer
-    prefix, and re-drives the already-journaled window natively, so
-    every subsequent delta is byte-identical to the uninterrupted
-    run's. On resume [cr_deltas] holds only the windows captured by
-    this process (the journal already has the prefix), while the
-    insn/cycle/byte totals cover the whole pass.
+    the last delta's capture moment with dirty tracking re-armed to the
+    original run's, re-draws the placer prefix, and re-drives the
+    already-journaled window natively, so every subsequent delta is
+    byte-identical to the uninterrupted run's. On resume [cr_deltas]
+    holds only the windows captured by this process (the journal
+    already has the prefix), while the insn/cycle/byte totals cover the
+    whole pass.
 
     Raises [Invalid_argument] for kernel-hosted domains — host-side
     minios state is not checkpointable ({!check_jobs} reports the same
-    condition as a CLI error). *)
+    condition as a CLI error) — and for a resume point whose warmed
+    state does not fit the domain's machine configuration. *)
 let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
     ?(max_cycles = max_int) ?(on_base = fun _ -> ()) ?(on_window = fun _ -> ())
     ?resume ~schedule (d : Domain.t) =
@@ -735,50 +773,11 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
   let c_ff = Stats.counter stats "sample.ff_insns"
   and c_ckpt = Stats.counter stats "sample.checkpoints"
   and c_ckpt_pages = Stats.counter stats "sample.checkpoint_pages" in
-  let uarch =
-    match d.Domain.uarch with
-    | Some u -> u
-    | None ->
-      let u = Uarch.create ~prefix:d.Domain.core_name d.Domain.config stats in
-      Domain.set_uarch d u;
-      u
-  in
-  if not roi then d.Domain.sample_roi <- true;
+  let uarch = shared_uarch d in
   (* entry totals read before any restore: a resumed pass rebuilds the
      domain deterministically, so they equal the original pass's and
      the final insn/cycle totals come out whole-run *)
-  let start_cycle = env.Env.cycle
-  and start_insns = ctx.Context.insns_committed in
-  let finished = ref false in
-  let out_of_budget () =
-    ctx.Context.insns_committed - start_insns >= max_insns
-    || env.Env.cycle - start_cycle >= max_cycles
-  in
-  let tick () =
-    drain_commands d;
-    if d.Domain.killed || out_of_budget () then begin
-      finished := true;
-      false
-    end
-    else if Domain.drive_once d then true
-    else begin
-      finished := true;
-      false
-    end
-  in
-  let drive_ff n =
-    Domain.enter_native d;
-    let remaining = ref n in
-    let last = ref ctx.Context.insns_committed in
-    while (not !finished) && (!remaining > 0 || (roi && not d.Domain.sample_roi))
-    do
-      if tick () then begin
-        let now = ctx.Context.insns_committed in
-        if d.Domain.sample_roi then remaining := !remaining - (now - !last);
-        last := now
-      end
-    done
-  in
+  let dr = driver ~roi ~max_insns ~max_cycles d in
   let base =
     match resume with
     | None ->
@@ -786,7 +785,7 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
       on_base b;
       b
     | Some rs ->
-      Checkpoint.resume_delta ~base:rs.rs_base rs.rs_last ~uarch env ctx;
+      resume_capture rs ~uarch env ctx;
       rs.rs_base
   in
   (* warming hooks install after any restore: their TLB-generation memo
@@ -797,35 +796,30 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
   let window = schedule.warmup_insns + schedule.measure_insns in
   let deltas = ref [] (* newest first; reversed below *) in
   let delta_bytes = ref 0 and full_bytes = ref 0 in
-  let period_idx = ref 0 in
-  (match resume with
-  | None -> ()
-  | Some rs ->
-    delta_bytes := rs.rs_delta_bytes;
-    full_bytes := rs.rs_full_bytes;
-    (* re-draw the placer prefix — stateful [Rand_offset] placers must
-       see every period in order — keeping the offset of the window we
-       restarted from *)
-    let last_off = ref schedule.ff_insns in
-    for i = 0 to rs.rs_count - 1 do
-      last_off := placer i
-    done;
-    period_idx := rs.rs_count;
-    (* the restored moment is the START of journaled window
-       [rs_count-1]: re-drive it (and its period's trailing
-       fast-forward) natively to reach the next period's entry state *)
-    let i_re = ctx.Context.insns_committed in
-    drive_ff window;
-    if (not !finished) && schedule.ff_insns - !last_off > 0 then
-      drive_ff (schedule.ff_insns - !last_off);
-    Stats.add c_ff (ctx.Context.insns_committed - i_re));
-  while not !finished do
-    let off = placer !period_idx in
-    incr period_idx;
-    let i_ff = ctx.Context.insns_committed in
-    drive_ff off;
-    Stats.add c_ff (ctx.Context.insns_committed - i_ff);
-    if not !finished then begin
+  let first =
+    match resume with
+    | None -> 0
+    | Some rs ->
+      delta_bytes := rs.rs_delta_bytes;
+      full_bytes := rs.rs_full_bytes;
+      (* re-draw the placer prefix — stateful [Rand_offset] placers must
+         see every period in order — keeping the offset of the window
+         we restarted from *)
+      let last_off = ref schedule.ff_insns in
+      for i = 0 to rs.rs_count - 1 do
+        last_off := placer i
+      done;
+      (* the restored moment is the START of journaled window
+         [rs_count-1]: re-drive it (and its period's trailing
+         fast-forward) natively to reach the next period's entry state *)
+      let i_re = ctx.Context.insns_committed in
+      drive_ff dr window;
+      if (not dr.finished) && schedule.ff_insns - !last_off > 0 then
+        drive_ff dr (schedule.ff_insns - !last_off);
+      Stats.add c_ff (ctx.Context.insns_committed - i_re);
+      rs.rs_count
+  in
+  periods dr ~schedule ~placer ~first ~c_ff (fun i ->
       let dk = Checkpoint.capture_delta ~base ~uarch env ctx in
       let db = Checkpoint.delta_page_bytes dk
       and fb = Checkpoint.full_page_bytes env in
@@ -835,78 +829,50 @@ let run_capture ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
       Stats.incr c_ckpt;
       Stats.add c_ckpt_pages (Checkpoint.delta_pages dk);
       on_window
-        {
-          w_index = !period_idx - 1;
-          w_delta = dk;
-          w_delta_bytes = db;
-          w_full_bytes = fb;
-        };
+        { w_index = i; w_delta = dk; w_delta_bytes = db; w_full_bytes = fb };
       (* cold memos at the capture point, matching a resumed pass *)
       reset_memos ();
       (* advance natively through the window so the next period starts
          from sequential state; the workers will re-execute it timed *)
-      drive_ff window
-    end;
-    if (not !finished) && schedule.ff_insns - off > 0 then begin
-      let i_tail = ctx.Context.insns_committed in
-      drive_ff (schedule.ff_insns - off);
-      Stats.add c_ff (ctx.Context.insns_committed - i_tail)
-    end
-  done;
-  remove_warming d;
-  Domain.enter_native d;
-  (match d.Domain.timelapse with
-  | Some tl -> Timelapse.finish tl ~cycle:env.Env.cycle
-  | None -> ());
+      drive_ff dr window);
+  finish dr;
   {
     cr_base = base;
     cr_deltas = Array.of_list (List.rev !deltas);
-    cr_insns = ctx.Context.insns_committed - start_insns;
-    cr_cycles = env.Env.cycle - start_cycle;
+    cr_insns = ctx.Context.insns_committed - dr.start_insns;
+    cr_cycles = env.Env.cycle - dr.start_cycle;
     cr_delta_bytes = !delta_bytes;
     cr_full_bytes = !full_bytes;
   }
 
-(** Replay every interval of a capture on [jobs] worker
-    {!Stdlib.Domain}s pulling indices from a shared {!Atomic} cursor,
-    each on fully private state ({!replay_delta}). The result array is
-    indexed by capture index, so it is bit-identical for any [jobs] and
-    any completion order; [jobs = 1] runs the same replay path inline. *)
-let replay_capture ~core_name ~config ~schedule ?(jobs = 1)
-    (cr : capture_run) =
-  if jobs < 1 then invalid_arg "Sample.replay_capture: jobs must be >= 1";
-  let n = Array.length cr.cr_deltas in
+(** [pool jobs n f] is [[| f 0; ...; f (n - 1) |]], computed by up to
+    [jobs] workers (the caller plus [jobs - 1] {!Stdlib.Domain}s) that
+    pull indices from a shared atomic cursor. Each worker writes only
+    its own cells, published to the caller by [Domain.join], so the
+    result is identical for any [jobs] and any completion order. An
+    exception escaping [f] propagates to the caller. *)
+let pool jobs n f =
   let results = Array.make n None in
-  let base = cr.cr_base in
   let next = Atomic.make 0 in
-  (* Workers steal the next un-replayed interval; each writes only its
-     own cell of [results], published to the master by [Domain.join]. *)
-  let worker () =
-    let continue = ref true in
-    while !continue do
-      let i = Atomic.fetch_and_add next 1 in
-      if i >= n then continue := false
-      else
-        results.(i) <-
-          replay_delta ~core_name ~config ~schedule ~index:i ~base
-            cr.cr_deltas.(i)
-    done
+  let rec worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <- Some (f i);
+      worker ()
+    end
   in
-  if jobs = 1 then worker ()
-  else begin
-    let doms =
-      Array.init (jobs - 1) (fun _ -> Stdlib.Domain.spawn worker)
-    in
-    worker ();
-    Array.iter Stdlib.Domain.join doms
-  end;
-  results
+  let spawned =
+    Array.init (max 0 (min jobs n - 1)) (fun _ -> Stdlib.Domain.spawn worker)
+  in
+  worker ();
+  Array.iter Stdlib.Domain.join spawned;
+  Array.map Option.get results
 
-(** Checkpoint-parallel sampled run: {!run_capture} followed by
-    {!replay_capture}, with results merged by capture index — the
-    merged report is bit-identical for any [jobs] value and any
-    completion order. Raises [Invalid_argument] for kernel-hosted
-    domains — see {!check_jobs}. *)
+(** Checkpoint-parallel sampled run: {!run_capture}, then every captured
+    interval replayed by {!replay_delta} on a {!pool} of [jobs] workers,
+    with results merged by capture index — the merged report is
+    bit-identical for any [jobs] value and any completion order. Raises
+    [Invalid_argument] for kernel-hosted domains — see {!check_jobs}. *)
 let run_parallel ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
     ?(max_cycles = max_int) ?(jobs = 1) ~schedule (d : Domain.t) =
   if jobs < 1 then invalid_arg "Sample.run_parallel: jobs must be >= 1";
@@ -919,8 +885,9 @@ let run_parallel ?(roi = false) ?(placement = Fixed) ?(max_insns = max_int)
   and c_meas_c = Stats.counter stats "sample.measured_cycles" in
   let cr = run_capture ~roi ~placement ~max_insns ~max_cycles ~schedule d in
   let results =
-    replay_capture ~core_name:d.Domain.core_name ~config:d.Domain.config
-      ~schedule ~jobs cr
+    pool jobs (Array.length cr.cr_deltas) (fun i ->
+        replay_delta ~core_name:d.Domain.core_name ~config:d.Domain.config
+          ~schedule ~index:i ~base:cr.cr_base cr.cr_deltas.(i))
   in
   (* merge in capture order: independent of job count and completion
      order, so the report is bit-identical across --sample-jobs *)

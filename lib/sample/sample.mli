@@ -144,38 +144,19 @@ val check_jobs :
   unit ->
   (unit, string) Stdlib.result
 
-(** Replay one measured interval from a full checkpoint on completely
-    private state (fresh memory, context, {!Ptl_ooo.Uarch} and stats
-    tree) — safe to run on any {!Stdlib.Domain}; a pure function of the
-    checkpoint and schedule. [None] if the guest halts before committing
-    a measured instruction. Exposed for tests; {!run_parallel} is the
-    driver.
+(** Replay one measured interval from a delta checkpoint on completely
+    private state: memory is a copy-on-write clone of the shared base
+    image overlaid with the interval's dirty pages, and a fresh context,
+    {!Ptl_ooo.Uarch} and stats tree restore from base + changed
+    components ({!Ptl_hyper.Checkpoint.restore}). Safe to run on any
+    {!Stdlib.Domain}; a pure function of the checkpoint and schedule.
+    [None] if the guest halts before committing a measured instruction.
 
-    [progress] (both replay builders) is invoked every ~2k pipeline
-    steps — a liveness hook fleet workers heartbeat from; it must not
-    touch simulator state. [wrap] interposes on the freshly built core
-    instance before it drives (e.g. a {!Ptl_guard} supervisor), turning
-    mid-replay invariant breaches into typed failures. *)
-val replay_interval :
-  ?progress:(unit -> unit) ->
-  ?wrap:
-    (env:Ptl_arch.Env.t ->
-    ctx:Ptl_arch.Context.t ->
-    Ptl_ooo.Registry.instance ->
-    Ptl_ooo.Registry.instance) ->
-  core_name:string ->
-  config:Ptl_ooo.Config.t ->
-  schedule:schedule ->
-  index:int ->
-  Ptl_hyper.Checkpoint.full ->
-  interval option
-
-(** Replay one measured interval from a delta checkpoint: private
-    memory is a copy-on-write clone of the shared base image overlaid
-    with the interval's dirty pages, the private {!Ptl_ooo.Uarch}
-    restores from base + changed components. Restored state — and so
-    the interval record — is identical to a full-checkpoint replay of
-    the same moment. *)
+    [progress] is invoked every ~2k pipeline steps — a liveness hook
+    fleet workers heartbeat from; it must not touch simulator state.
+    [wrap] interposes on the freshly built core instance after the
+    restore and before it drives (e.g. a {!Ptl_guard} supervisor),
+    turning mid-replay invariant breaches into typed failures. *)
 val replay_delta :
   ?progress:(unit -> unit) ->
   ?wrap:
@@ -227,15 +208,18 @@ type resume_point = {
     with functional warming, a {!Ptl_hyper.Checkpoint.base} captured up
     front and a cheap delta at the start of every warm-up+measure
     window (the windows advance natively; workers replay them timed).
-    Raises [Invalid_argument] on kernel-hosted domains.
+    Shares {!run}'s period driver; the two differ only in what happens
+    at a window. Raises [Invalid_argument] on kernel-hosted domains.
 
     [on_base]/[on_window] stream the base and each delta as captured
     (journaling). [resume] restarts an interrupted pass from its last
     journaled window; the domain must be rebuilt exactly as for the
-    original pass (same workload, machine, schedule, placement). Every
-    resumed delta is then byte-identical to the uninterrupted run's;
-    [cr_deltas] holds only this process's windows while the
-    insn/cycle/byte totals cover the whole pass. *)
+    original pass (same workload, machine, schedule, placement) —
+    a resume point whose warmed state does not fit the domain's
+    configuration raises [Invalid_argument]. Every resumed delta is
+    then byte-identical to the uninterrupted run's; [cr_deltas] holds
+    only this process's windows while the insn/cycle/byte totals cover
+    the whole pass. *)
 val run_capture :
   ?roi:bool ->
   ?placement:placement ->
@@ -248,25 +232,23 @@ val run_capture :
   Ptl_hyper.Domain.t ->
   capture_run
 
-(** Replay every captured interval on [jobs] worker {!Stdlib.Domain}s
-    (default 1 = inline), returning results by capture index —
-    bit-identical for any [jobs] and completion order. *)
-val replay_capture :
-  core_name:string ->
-  config:Ptl_ooo.Config.t ->
-  schedule:schedule ->
-  ?jobs:int ->
-  capture_run ->
-  interval option array
+(** [pool jobs n f] is [[| f 0; ...; f (n - 1) |]], computed by up to
+    [jobs] workers (the caller plus [jobs - 1] {!Stdlib.Domain}s)
+    pulling indices from a shared atomic cursor. Results are by index,
+    so identical for any [jobs] and completion order; an exception
+    escaping [f] propagates to the caller. The one replay worker pool:
+    {!run_parallel} and [Ptl_fleet.Fleet.replay] both drive it. *)
+val pool : int -> int -> (int -> 'a) -> 'a array
 
-(** Checkpoint-parallel sampled run: one native master pass (functional
-    warming throughout) captures a {!Ptl_hyper.Checkpoint.full} at the
-    start of every warm-up+measure window; [jobs] worker
-    {!Stdlib.Domain}s then replay the intervals on private state and the
-    results merge by capture index. The merged report is bit-identical
-    for any [jobs] value and any completion order ([jobs = 1] runs the
-    same replay path inline). Raises [Invalid_argument] on
-    kernel-hosted domains — see {!check_jobs}. *)
+(** Checkpoint-parallel sampled run: one native master pass
+    ({!run_capture}, functional warming throughout) captures a shared
+    base image and a delta checkpoint at the start of every
+    warm-up+measure window; a {!pool} of [jobs] workers then replays the
+    intervals on private state ({!replay_delta}) and the results merge
+    by capture index. The merged report is bit-identical for any [jobs]
+    value and any completion order ([jobs = 1] runs the same replay
+    path inline). Raises [Invalid_argument] on kernel-hosted domains —
+    see {!check_jobs}. *)
 val run_parallel :
   ?roi:bool ->
   ?placement:placement ->

@@ -80,7 +80,7 @@ let matrix =
   ]
 
 let run_cell k cell =
-  let cr, _, expected = Lazy.force Test_fleet.captured in
+  let cr, expected = Lazy.force Test_fleet.captured in
   let dir, sock = Test_fleet.fresh_paths (Printf.sprintf "chaos_%d" k) in
   let store = Test_fleet.make_store ~dir cr in
   let server =
@@ -123,7 +123,7 @@ let test_fault_matrix () = List.iteri run_cell matrix
 (* a result-cache write failure must fail open: the replay completes
    with the full, identical result — a cache is never load-bearing *)
 let test_result_cache_fails_open () =
-  let cr, _, expected = Lazy.force Test_fleet.captured in
+  let cr, expected = Lazy.force Test_fleet.captured in
   let dir, _ = Test_fleet.fresh_paths "chaos_cache" in
   let store = Test_fleet.make_store ~dir cr in
   (match Chaos.parse "fail@store.result.write:1" with
@@ -148,7 +148,7 @@ let test_result_cache_fails_open () =
    read-time CRC can catch — replay must quarantine exactly that
    interval, never fold the damage into the result *)
 let test_flipped_record_quarantined () =
-  let cr, ivs, _ = Lazy.force Test_fleet.captured in
+  let cr, expected = Lazy.force Test_fleet.captured in
   let count = Array.length cr.Sample.cr_deltas in
   let dir, _ = Test_fleet.fresh_paths "chaos_flip" in
   (* store.write passes: base is hit 1, interval 0 is hit 2 *)
@@ -164,7 +164,7 @@ let test_flipped_record_quarantined () =
       (List.map fst rp.Fleet.rp_quarantined);
     Alcotest.(check int) "survivors replayed" (count - 1) rp.Fleet.rp_replayed;
     Alcotest.(check bool) "degraded result covers exactly the survivors" true
-      (rp.Fleet.rp_result = Test_fleet.degraded_expected cr ivs ~poison:0)
+      (rp.Fleet.rp_result = Test_fleet.degraded_expected expected ~poison:0)
 
 let suite =
   [

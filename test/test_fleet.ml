@@ -142,20 +142,14 @@ let fresh_paths name =
   (dir, dir ^ ".sock")
 
 (* one shared capture for the end-to-end tests (the capture pass is the
-   expensive part; stores built from it are cheap) *)
+   expensive part; stores built from it are cheap), and the reference
+   result: the in-process checkpoint-parallel run of the same workload *)
 let captured =
   lazy
-    (let d, _ = Test_checkpoint.bare_loop ~iters:20_000 () in
-     let cr = Sample.run_capture ~schedule d in
-     let ivs =
-       Sample.replay_capture ~core_name:"ooo" ~config:Config.tiny ~schedule cr
-     in
-     let expected =
-       Sample.aggregate ~total_insns:cr.Sample.cr_insns
-         ~total_cycles:cr.Sample.cr_cycles
-         (Array.to_list ivs |> List.filter_map Fun.id)
-     in
-     (cr, ivs, expected))
+    (let capture () = fst (Test_checkpoint.bare_loop ~iters:20_000 ()) in
+     let cr = Sample.run_capture ~schedule (capture ()) in
+     let expected = Sample.run_parallel ~schedule (capture ()) in
+     (cr, expected))
 
 let make_store ~dir cr =
   match
@@ -184,7 +178,7 @@ let connect_when_up path =
    and dies without delivering: the lease must re-queue and the merged
    result must still be bit-identical to an in-process replay *)
 let test_fleet_end_to_end () =
-  let cr, _, expected = Lazy.force captured in
+  let cr, expected = Lazy.force captured in
   let count = Array.length cr.Sample.cr_deltas in
   Alcotest.(check bool) "several intervals" true (count >= 5);
   let dir, sock = fresh_paths "fleet_e2e" in
@@ -236,7 +230,7 @@ let test_fleet_end_to_end () =
    while renewing it with heartbeats, then delivers — the lease must
    never be stolen (sv_requeued = 0) and the result stays identical *)
 let test_heartbeat_keeps_lease () =
-  let cr, _, expected = Lazy.force captured in
+  let cr, expected = Lazy.force captured in
   let dir, sock = fresh_paths "fleet_hb" in
   let store = make_store ~dir cr in
   let lease_timeout = 1.0 in
@@ -293,7 +287,7 @@ let test_heartbeat_keeps_lease () =
    Welcome'd then cut off must reconnect (with backoff) and drain the
    real server that replaces the dead one *)
 let test_worker_reconnects_after_restart () =
-  let cr, _, expected = Lazy.force captured in
+  let cr, expected = Lazy.force captured in
   let dir, sock = fresh_paths "fleet_rc" in
   let store = make_store ~dir cr in
   let count = Array.length cr.Sample.cr_deltas in
@@ -345,18 +339,18 @@ let corrupt_interval store index =
   ignore (Unix.write fd (Bytes.make 1 '\000') 0 1);
   Unix.close fd
 
-let degraded_expected cr ivs ~poison =
-  Sample.aggregate ~total_insns:cr.Sample.cr_insns
-    ~total_cycles:cr.Sample.cr_cycles
-    (Array.to_list ivs
-    |> List.filteri (fun i _ -> i <> poison)
-    |> List.filter_map Fun.id)
+let degraded_expected (expected : Sample.result) ~poison =
+  Sample.aggregate ~total_insns:expected.Sample.total_insns
+    ~total_cycles:expected.Sample.total_cycles
+    (List.filter
+       (fun iv -> iv.Sample.iv_index <> poison)
+       expected.Sample.intervals)
 
 let test_poison_interval_quarantine () =
-  let cr, ivs, expected = Lazy.force captured in
+  let cr, expected = Lazy.force captured in
   let count = Array.length cr.Sample.cr_deltas in
   let poison = 1 in
-  let survivors = degraded_expected cr ivs ~poison in
+  let survivors = degraded_expected expected ~poison in
   Alcotest.(check bool) "poison actually contributes" true
     (survivors <> expected);
   (* in-process replay: one attempt, quarantined, run completes *)

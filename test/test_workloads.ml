@@ -207,11 +207,11 @@ let counting_image () =
 let test_checkpoint_restore () =
   let img = counting_image () in
   let m = Machine.create img in
-  let ck = Checkpoint.capture m.Machine.env m.Machine.ctx in
+  let ck = Checkpoint.Machine.capture m.Machine.env m.Machine.ctx in
   ignore (Machine.run_seq m);
   let after = Machine.gpr m G.rax in
   Alcotest.(check int64) "ran" 1275L after;
-  Checkpoint.restore ck m.Machine.env m.Machine.ctx;
+  Checkpoint.Machine.restore ck m.Machine.env m.Machine.ctx;
   Alcotest.(check int64) "state restored" 0L (Machine.gpr m G.rax);
   Alcotest.(check bool) "running again" true m.Machine.ctx.Context.running;
   (* deterministic replay: same result again *)
@@ -224,7 +224,7 @@ let test_dma_trace_replay () =
   let img = counting_image () in
   let m = Machine.create img in
   let env = m.Machine.env and ctx = m.Machine.ctx in
-  let ck = Checkpoint.capture env ctx in
+  let ck = Checkpoint.Machine.capture env ctx in
   let trace = Dma_trace.create () in
   env.Ptl_arch.Env.cycle <- 1000;
   Dma_trace.record trace env ~vector:33 ~dma:[ (0x5000, "hello") ] ();
@@ -232,7 +232,7 @@ let test_dma_trace_replay () =
   Dma_trace.record trace env ~dma:[ (0x5008, "world") ] ();
   Alcotest.(check int) "two events" 2 (Dma_trace.length trace);
   (* restore and replay *)
-  Checkpoint.restore ck env ctx;
+  Checkpoint.Machine.restore ck env ctx;
   let inj = Dma_trace.injector trace in
   Alcotest.(check (option int)) "first due at 1000" (Some 1000) (Dma_trace.next_cycle inj);
   env.Ptl_arch.Env.cycle <- 999;
