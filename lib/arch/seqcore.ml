@@ -109,15 +109,22 @@ let buffered_load ms vaddr size =
 let commit_macro t ms =
   List.iter (fun (r, v) -> Context.set_reg t.ctx r v) (List.rev ms.reg_writes);
   t.ctx.Context.flags <- ms.cur_flags;
-  (* commit stores, with SMC detection on code pages *)
+  (* commit stores, with SMC detection on every code page written *)
   List.iter
     (fun (vaddr, size, value) ->
-      Vmem.write t.env.Env.vmem t.ctx ~vaddr ~size ~value ~at_rip:t.ctx.Context.rip;
-      let paddr =
-        Vmem.translate t.env.Env.vmem t.ctx ~vaddr ~write:true ~fetch:false
-          ~at_rip:t.ctx.Context.rip
+      let vmem = t.env.Env.vmem and at_rip = t.ctx.Context.rip in
+      Vmem.write vmem t.ctx ~vaddr ~size ~value ~at_rip;
+      let first =
+        Vmem.translate vmem t.ctx ~vaddr ~write:true ~fetch:false ~at_rip
+      and last =
+        Vmem.translate vmem t.ctx
+          ~vaddr:(Int64.add vaddr (Int64.of_int (W64.bytes_of_size size - 1)))
+          ~write:true ~fetch:false ~at_rip
       in
-      ignore (Ptl_uop.Bbcache.store_committed t.bbcache (Pm.mfn_of_paddr paddr)))
+      let first = Pm.mfn_of_paddr first and last = Pm.mfn_of_paddr last in
+      ignore (Ptl_uop.Bbcache.store_committed t.bbcache first);
+      (* a page-straddling store also writes the next page *)
+      if last <> first then ignore (Ptl_uop.Bbcache.store_committed t.bbcache last))
     (List.rev ms.store_writes);
   t.ctx.Context.insns_committed <- t.ctx.Context.insns_committed + 1;
   Stats.incr t.c_insns;

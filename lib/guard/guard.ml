@@ -9,9 +9,10 @@
     - a pluggable {b invariant registry}: named structural checks (ROB
       ordering, physical-register conservation and leak detection, LSQ
       ordering, issue-queue slot conservation, cache tag/LRU and MSHR
-      consistency, TLB internal consistency and — optionally —
-      TLB↔pagetable agreement) built from small inspection hooks the
-      core and memory subsystems expose;
+      consistency, TLB internal consistency, agreement of the exact
+      functional translation cache with the page tables and —
+      optionally — TLB↔pagetable agreement) built from small inspection
+      hooks the core and memory subsystems expose;
     - a {b supervisor} wrapping any {!Ptl_ooo.Registry.instance}: it
       samples the registered invariants every [interval] steps, takes
       periodic {!Ptl_hyper.Checkpoint} snapshots, and on a watchdog
@@ -25,7 +26,8 @@
     guest store to a page table and the subsequent invlpg/CR3 write, a
     real TLB legitimately holds stale entries, so the check is sound
     only where the guest never edits live page tables (the bare-machine
-    fuzz/cosim harnesses). *)
+    fuzz/cosim harnesses). The functional translation cache has no such
+    excuse: it must be exact at all times, so its check is always armed. *)
 
 module Env = Ptl_arch.Env
 module Context = Ptl_arch.Context
@@ -93,6 +95,12 @@ let tlb_checks ~sub (tlbs : Tlb.t list) =
       make_check ~stride:expensive_stride ~name:(sub ^ ".consistency")
         ~subsystem:sub (fun () -> Tlb.check tlb))
     tlbs
+
+(** The functional translation cache agrees with the page tables (see
+    {!Ptl_arch.Vmem.check}). *)
+let vmem_check (env : Env.t) =
+  make_check ~stride:expensive_stride ~name:"vmem.tcache" ~subsystem:"vmem"
+    (fun () -> Ptl_arch.Vmem.check env.Env.vmem)
 
 (** Strict-mode TLB↔pagetable agreement: every cached translation must
     match what a fresh walk of the current page tables produces. Only
@@ -237,14 +245,17 @@ let inorder_checks ?(strict_tlb = false) (env : Env.t) (core : Inorder_core.t) =
       | None -> [])
   else []
 
-(** The invariant set behind a registry instance, chosen by its handle.
+(** The invariant set behind a registry instance, chosen by its handle,
+    plus the translation-cache check every core's environment carries.
     The sequential reference core has no microarchitectural state to
     check. *)
 let checks_for_instance ?strict_tlb (env : Env.t) (inst : Registry.instance) =
-  match inst.Registry.handle with
+  vmem_check env
+  ::
+  (match inst.Registry.handle with
   | Registry.Core_ooo core -> ooo_checks ?strict_tlb env core
   | Registry.Core_inorder core -> inorder_checks ?strict_tlb env core
-  | Registry.Core_seq _ | Registry.Core_opaque -> []
+  | Registry.Core_seq _ | Registry.Core_opaque -> [])
 
 (* ---------- the supervisor ---------- *)
 

@@ -19,7 +19,16 @@
       the first time it is written. Replay workers clone the master
       image in O(frames) pointer copies instead of O(bytes), and the
       base stays immutable, so any number of workers (even on separate
-      {!Stdlib.Domain}s) can share one base. *)
+      {!Stdlib.Domain}s) can share one base.
+
+    A third supports the exact functional translation cache in
+    [Ptl_arch.Vmem]:
+
+    - {b page-table generation}: frames a cached translation was read
+      from are registered with {!watch_frame}; any write to a registered
+      frame, and every {!restore} or {!apply_delta}, advances
+      {!generation} and forgets the registrations. A cached translation
+      is valid only at the generation it was filled in. *)
 
 let page_shift = 12
 let page_size = 1 lsl page_shift
@@ -38,6 +47,10 @@ type t = {
   (* frames whose bytes are shared with a base image (clone_cow); copy
      before the first write. *)
   cow : (int, unit) Hashtbl.t;
+  (* frames read by translations cached at [generation]; never holds
+     [last_dirty], so a memoized write can skip the lookup *)
+  watched : (int, unit) Hashtbl.t;
+  mutable generation : int;
 }
 
 let create ?(first_mfn = 0x100) () =
@@ -48,6 +61,8 @@ let create ?(first_mfn = 0x100) () =
     dirty = Hashtbl.create 64;
     last_dirty = -1;
     cow = Hashtbl.create 4;
+    watched = Hashtbl.create 16;
+    generation = 0;
   }
 
 let mfn_of_paddr paddr = paddr lsr page_shift
@@ -56,10 +71,24 @@ let paddr_of_mfn mfn = mfn lsl page_shift
 
 let page_exists t mfn = Hashtbl.mem t.frames mfn
 
+let generation t = t.generation
+
+(* Page-table contents may have changed: every cached translation is
+   stale, so no frame needs watching any more. *)
+let new_generation t =
+  t.generation <- t.generation + 1;
+  if Hashtbl.length t.watched > 0 then Hashtbl.reset t.watched
+
+let watch_frame t mfn =
+  Hashtbl.replace t.watched mfn ();
+  if mfn = t.last_dirty then t.last_dirty <- -1
+
 (* Mark [mfn] dirty and break any copy-on-write sharing. Must run
    before the frame's bytes are fetched on a write path. *)
 let mark_dirty t mfn =
   if mfn <> t.last_dirty then begin
+    if Hashtbl.length t.watched > 0 && Hashtbl.mem t.watched mfn then
+      new_generation t;
     if Hashtbl.length t.cow > 0 && Hashtbl.mem t.cow mfn then begin
       (match Hashtbl.find_opt t.frames mfn with
       | Some b -> Hashtbl.replace t.frames mfn (Bytes.copy b)
@@ -204,6 +233,8 @@ let copy t =
     dirty = Hashtbl.copy t.dirty;
     last_dirty = t.last_dirty;
     cow = Hashtbl.create 4;
+    watched = Hashtbl.create 16;
+    generation = 0;
   }
 
 (** Restore [t] to the state captured in [snapshot] (in place, so existing
@@ -211,6 +242,7 @@ let copy t =
     the restore itself rewrote the machine state, so a later delta
     against an older base must include it. *)
 let restore t ~snapshot =
+  new_generation t;
   Hashtbl.reset t.frames;
   Hashtbl.reset t.cow;
   Hashtbl.reset t.dirty;
@@ -269,6 +301,7 @@ let delta_bytes d = Array.length d.d_pages * page_size
     base's, and the allocator state advances to the capture point. Page
     bytes are copied in, so [d] may be shared across workers. *)
 let apply_delta t d =
+  new_generation t;
   Array.iter
     (fun (mfn, b) ->
       (match Hashtbl.find_opt t.frames mfn with
@@ -304,4 +337,6 @@ let clone_cow base =
     dirty = Hashtbl.create 64;
     last_dirty = -1;
     cow;
+    watched = Hashtbl.create 16;
+    generation = 0;
   }

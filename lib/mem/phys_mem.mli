@@ -50,6 +50,21 @@ val write_sized : t -> int -> Ptl_util.W64.size -> int64 -> unit
 val write_string : t -> int -> string -> unit
 val read_string : t -> int -> int -> string
 
+(** {2 Page-table generation}
+
+    The exact translation cache in [Ptl_arch.Vmem] keys its entries by
+    this counter. It advances when a write reaches a frame registered
+    with {!watch_frame} (through any write function or {!frame}), and on
+    every {!restore} and {!apply_delta}; each advance forgets all
+    registrations. Bytes returned by {!frame} must not be held across a
+    translation: a later write through them is not seen. *)
+
+val generation : t -> int
+
+(** Register [mfn] as read by a translation cached at the current
+    {!generation}. *)
+val watch_frame : t -> int -> unit
+
 (** Deep copy, for domain checkpointing. *)
 val copy : t -> t
 

@@ -1417,7 +1417,18 @@ let commit_store t th (e : rob_entry) =
   if e.uop.Uop.op = Uop.Strel then
     Interlock.release t.interlock ~cycle:(now t) ~core:t.core_id ~thread:th.tid
       ~paddr:e.paddr;
-  Bbcache.store_committed t.bbcache (Pm.mfn_of_paddr e.paddr)
+  let first = Pm.mfn_of_paddr e.paddr in
+  let n = W64.bytes_of_size e.uop.Uop.mem_size in
+  let smc = Bbcache.store_committed t.bbcache first in
+  if (e.paddr land Pm.page_mask) + n <= Pm.page_size then smc
+  else
+    (* a page-straddling store also writes the next page *)
+    let last =
+      Vmem.translate t.env.Env.vmem ctx
+        ~vaddr:(Int64.add e.vaddr (Int64.of_int (n - 1)))
+        ~write:true ~fetch:false ~at_rip:e.uop.Uop.rip
+    in
+    Bbcache.store_committed t.bbcache (Pm.mfn_of_paddr last) || smc
 
 let train_branch t (e : rob_entry) =
   Stats.incr t.c_branches;

@@ -19,6 +19,7 @@ let () =
       ("seqcore", Test_seqcore.suite);
       ("ooo", Test_ooo.suite);
       ("vm", Test_vm.suite);
+      ("vmem", Test_vmem.suite);
       ("kernel", Test_kernel.suite);
       ("workloads", Test_workloads.suite);
       ("system", Test_system.suite);

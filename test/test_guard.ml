@@ -239,6 +239,22 @@ let test_corrupt_iq_free_count () =
   core.Ooo.iq_free.(0) <- core.Ooo.iq_free.(0) - 1;
   detect ~sub:"iq" m inst
 
+let test_corrupt_vmem_tcache () =
+  let m, inst, _ = warm_ooo () in
+  (* a cached translation drifts from the page tables: its frame moves
+     while the entry stays valid at the current generation *)
+  let vm = m.Machine.env.Env.vmem in
+  let tc = vm.Ptl_arch.Vmem.tcache in
+  let gen = Ptl_mem.Phys_mem.generation m.Machine.env.Env.mem in
+  let rec find slot =
+    if slot >= Array.length tc then Alcotest.fail "no valid vmem cache entry"
+    else if tc.(slot) >= 0 && tc.(slot + 2) = gen then slot
+    else find (slot + Ptl_arch.Vmem.slot_words)
+  in
+  let slot = find 0 in
+  tc.(slot + 3) <- tc.(slot + 3) + 1;
+  detect ~sub:"vmem" m inst
+
 let test_corrupt_mshr_leak () =
   let m, inst, core = warm_ooo () in
   (* an MSHR whose completion lies beyond any legitimate latency chain *)
@@ -372,6 +388,8 @@ let suite =
     Alcotest.test_case "corrupt iq slot -> iq" `Quick test_corrupt_iq_slot;
     Alcotest.test_case "corrupt iq free count -> iq" `Quick
       test_corrupt_iq_free_count;
+    Alcotest.test_case "drifted vmem cache entry -> vmem" `Quick
+      test_corrupt_vmem_tcache;
     Alcotest.test_case "leak MSHR -> mem" `Quick test_corrupt_mshr_leak;
     Alcotest.test_case "duplicate cache tag -> mem" `Quick test_corrupt_cache_tag;
     Alcotest.test_case "supervisor raises typed failure" `Quick test_supervisor_raises;

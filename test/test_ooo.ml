@@ -184,6 +184,12 @@ let test_ooo_smc_flush () =
   Alcotest.(check bool) "smc flush counted" true
     (Stats.get stats "ooo.commit.smc_flushes" > 0)
 
+let test_ooo_smc_straddling_store () =
+  let m = Machine.create (Test_seqcore.straddling_smc_program ()) in
+  let core = Ooo.create Config.tiny m.Machine.env [| m.Machine.ctx |] in
+  ignore (Ooo.run core ~max_cycles:1_000_000);
+  Alcotest.(check int64) "patched code ran" 2L (Machine.gpr m (reg "rax"))
+
 let test_ooo_irq_delivery () =
   let a = Asm.create ~base:0x40_0000L () in
   Asm.lea_label a (reg "rax") "idt";
@@ -445,6 +451,8 @@ let suite =
     Alcotest.test_case "ooo rep movs" `Quick test_ooo_rep_movs;
     Alcotest.test_case "ooo precise page fault" `Quick test_ooo_page_fault_precise;
     Alcotest.test_case "ooo SMC flush" `Quick test_ooo_smc_flush;
+    Alcotest.test_case "ooo SMC flush, page-straddling store" `Quick
+      test_ooo_smc_straddling_store;
     Alcotest.test_case "ooo irq delivery" `Quick test_ooo_irq_delivery;
     Alcotest.test_case "ooo k8 config" `Quick test_ooo_k8_config_runs;
     Test_seed.to_alcotest prop_cosim_equivalence;

@@ -336,6 +336,37 @@ let test_smc_invalidation_functional () =
   let _ = Machine.run_seq m in
   Alcotest.(check int64) "patched code executed" 2L (Machine.gpr m (reg "rax"))
 
+(* A store straddling a page boundary whose second page holds cached
+   code: the target block starts a page, and the 8-byte store at
+   target-4 rewrites the low bytes of its movabs immediate (1 -> 2). *)
+let straddling_smc_program () =
+  let movabs = Encode.encode (Insn.Movabs (reg "rax", 1L)) in
+  (* bytes target-4..target+3 := four nop pads, the two opcode bytes,
+     then immediate bytes 02 00 *)
+  let patch =
+    Int64.logor 0x0002_0000_0000_0000L
+      (Int64.shift_left
+         (Int64.of_int (Char.code movabs.[0] lor (Char.code movabs.[1] lsl 8)))
+         32)
+  in
+  let a = Asm.create ~base:0x40_0000L () in
+  Asm.lea_label a (reg "rsi") "target";
+  Asm.call a "target";
+  Asm.ins a (Insn.Movabs (reg "rbx", patch));
+  Asm.ins a (Insn.Mov (W64.B8, Insn.Mem (Insn.mem_bd (reg "rsi") (-4L)), Insn.RM (Insn.Reg (reg "rbx"))));
+  Asm.call a "target";
+  Asm.ins a Insn.Hlt;
+  Asm.align a 4096;
+  Asm.label a "target";
+  Asm.ins a (Insn.Movabs (reg "rax", 1L));
+  Asm.ins a Insn.Ret;
+  Asm.assemble a
+
+let test_smc_straddling_store () =
+  let m = Machine.create (straddling_smc_program ()) in
+  let _ = Machine.run_seq m in
+  Alcotest.(check int64) "patched code executed" 2L (Machine.gpr m (reg "rax"))
+
 let test_syscall_sysret () =
   let a = Asm.create ~base:0x40_0000L () in
   Asm.lea_label a (reg "rax") "entry";
@@ -385,6 +416,8 @@ let suite =
     Alcotest.test_case "int/iret roundtrip" `Quick test_int_iret_roundtrip;
     Alcotest.test_case "irq wakes hlt" `Quick test_external_irq_wakes_hlt;
     Alcotest.test_case "self-modifying code" `Quick test_smc_invalidation_functional;
+    Alcotest.test_case "self-modifying code, page-straddling store" `Quick
+      test_smc_straddling_store;
     Alcotest.test_case "syscall/sysret" `Quick test_syscall_sysret;
     Alcotest.test_case "rdtsc" `Quick test_rdtsc_monotone;
   ]
